@@ -16,15 +16,35 @@ void BitWriter::put_bit(bool b) {
 
 void BitWriter::put_bits(std::uint64_t value, std::uint32_t width) {
   if (width > 64) throw std::invalid_argument("BitWriter::put_bits: width > 64");
-  for (std::uint32_t i = width; i > 0; --i) {
-    put_bit(((value >> (i - 1)) & 1) != 0);
+  if (width == 0) return;
+  if (width < 64) value &= (std::uint64_t{1} << width) - 1;
+  // Whole bytes per step: top up the partial last byte, then store full
+  // bytes MSB first, then start a fresh partial byte. New bytes begin zero,
+  // so the pad bits past bit_size() stay zero as put_bit leaves them.
+  std::size_t byte = static_cast<std::size_t>(bits_ / 8);
+  const auto used = static_cast<std::uint32_t>(bits_ % 8);
+  bits_ += width;
+  bytes_.resize(static_cast<std::size_t>((bits_ + 7) / 8));
+  if (used != 0) {
+    const std::uint32_t room = 8 - used;
+    if (width <= room) {
+      bytes_[byte] |= static_cast<std::uint8_t>(value << (room - width));
+      return;
+    }
+    width -= room;
+    bytes_[byte++] |= static_cast<std::uint8_t>(value >> width);
   }
+  while (width >= 8) {
+    width -= 8;
+    bytes_[byte++] = static_cast<std::uint8_t>(value >> width);
+  }
+  if (width > 0) bytes_[byte] = static_cast<std::uint8_t>(value << (8 - width));
 }
 
 void BitWriter::put_gamma(std::uint64_t value) {
   const std::uint64_t v = value + 1;  // gamma codes positive integers
   const auto width = static_cast<std::uint32_t>(bit_width_of(v));
-  for (std::uint32_t i = 1; i < width; ++i) put_bit(false);
+  put_bits(0, width - 1);
   put_bits(v, width);
 }
 
@@ -38,8 +58,30 @@ bool BitReader::get_bit() {
 
 std::uint64_t BitReader::get_bits(std::uint32_t width) {
   if (width > 64) throw WireError("BitReader::get_bits: width > 64");
+  if (width > remaining()) {
+    // A short read consumes the rest of the stream, then fails: the state
+    // get_bit() leaves when it runs dry.
+    pos_ = bit_size_;
+    throw WireError("BitReader: read past end of buffer");
+  }
+  // Mirror of BitWriter::put_bits: the tail of the partial first byte, then
+  // whole bytes, then the head of the last byte.
+  std::size_t byte = static_cast<std::size_t>(pos_ / 8);
+  const auto used = static_cast<std::uint32_t>(pos_ % 8);
+  pos_ += width;
   std::uint64_t v = 0;
-  for (std::uint32_t i = 0; i < width; ++i) v = (v << 1) | (get_bit() ? 1 : 0);
+  std::uint32_t left = width;
+  if (used != 0 && left > 0) {
+    const std::uint32_t room = 8 - used;
+    const std::uint32_t take = std::min(room, left);
+    v = (bytes_[byte++] >> (room - take)) & ((1u << take) - 1);
+    left -= take;
+  }
+  while (left >= 8) {
+    v = (v << 8) | bytes_[byte++];
+    left -= 8;
+  }
+  if (left > 0) v = (v << left) | (bytes_[byte] >> (8 - left));
   return v;
 }
 
@@ -50,9 +92,7 @@ std::uint64_t BitReader::get_gamma() {
     // 64 leading zeros cannot come from any encoder: corrupt input.
     if (++zeros >= 64) throw WireError("BitReader::get_gamma: corrupt prefix");
   }
-  std::uint64_t v = 1;
-  for (std::uint32_t i = 0; i < zeros; ++i) v = (v << 1) | (get_bit() ? 1 : 0);
-  return v - 1;
+  return ((std::uint64_t{1} << zeros) | get_bits(zeros)) - 1;
 }
 
 namespace {

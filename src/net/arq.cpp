@@ -21,15 +21,6 @@ std::uint64_t batch_filler_seed(const FrameHeader& h, std::uint64_t index,
                       h.session);
 }
 
-void append_filler(BitWriter& w, std::uint64_t seed, std::uint64_t bits) {
-  std::uint64_t state = seed;
-  while (bits > 0) {
-    const std::uint32_t take = static_cast<std::uint32_t>(std::min<std::uint64_t>(bits, 64));
-    w.put_bits(splitmix64(state) >> (64 - take), take);
-    bits -= take;
-  }
-}
-
 [[nodiscard]] bool check_filler(BitReader& r, std::uint64_t seed, std::uint64_t bits) {
   std::uint64_t state = seed;
   while (bits > 0) {
@@ -118,7 +109,7 @@ Frame make_batch_frame(std::uint32_t src, std::uint32_t dst, std::uint32_t seq,
   for (std::size_t i = 0; i < charges.size(); ++i) {
     w.put_gamma(charges[i].phase);
     w.put_gamma(charges[i].bits);
-    append_filler(w, batch_filler_seed(f.header, i, charges[i].bits), charges[i].bits);
+    append_filler_bits(w, batch_filler_seed(f.header, i, charges[i].bits), charges[i].bits);
   }
   f.header.payload_bits = w.bit_size();
   f.payload = w.bytes();

@@ -131,6 +131,24 @@ std::uint64_t filler_seed(const FrameHeader& h) {
                       h.session);
 }
 
+void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+}
+
+std::uint64_t load_be64(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
+  return v;
+}
+
+/// The filler stream's last word: the next draw cut to its top `bits % 64`
+/// bits, the rest (the pad) zero. Called only when bits % 64 != 0.
+std::uint64_t filler_tail_word(std::uint64_t& state, std::uint64_t bits) noexcept {
+  return splitmix64(state) & (~std::uint64_t{0} << (64 - bits % 64));
+}
+
+}  // namespace
+
 void append_filler_bits(BitWriter& w, std::uint64_t seed, std::uint64_t bits) {
   std::uint64_t state = seed;
   while (bits > 0) {
@@ -139,8 +157,6 @@ void append_filler_bits(BitWriter& w, std::uint64_t seed, std::uint64_t bits) {
     bits -= take;
   }
 }
-
-}  // namespace
 
 std::uint64_t fold_session(std::uint64_t seed, std::uint32_t session) noexcept {
   // Identity for session 0 — the pre-session keying, bit for bit. The tag
@@ -206,13 +222,36 @@ std::size_t frame_wire_bytes(const Frame& f) {
 }
 
 std::vector<std::uint8_t> make_filler_payload(const FrameHeader& h) {
-  BitWriter w;
-  append_filler_bits(w, filler_seed(h), h.payload_bits);
-  return w.bytes();
+  // append_filler_bits into an empty writer, a word at a time: each draw's
+  // big-endian bytes are exactly the bits put_bits would lay down.
+  std::vector<std::uint8_t> out(payload_bytes(h.payload_bits));
+  std::uint64_t state = filler_seed(h);
+  const std::size_t whole = static_cast<std::size_t>(h.payload_bits / 64);
+  std::uint8_t* p = out.data();
+  for (std::size_t i = 0; i < whole; ++i, p += 8) store_be64(p, splitmix64(state));
+  if (h.payload_bits % 64 != 0) {
+    std::uint8_t last[8];
+    store_be64(last, filler_tail_word(state, h.payload_bits));
+    std::memcpy(p, last, out.size() - whole * 8);
+  }
+  return out;
 }
 
 bool verify_filler_payload(const Frame& f) {
-  return f.payload == make_filler_payload(f.header);
+  if (f.payload.size() != payload_bytes(f.header.payload_bits)) return false;
+  std::uint64_t state = filler_seed(f.header);
+  const std::size_t whole = static_cast<std::size_t>(f.header.payload_bits / 64);
+  const std::uint8_t* p = f.payload.data();
+  for (std::size_t i = 0; i < whole; ++i, p += 8) {
+    if (load_be64(p) != splitmix64(state)) return false;
+  }
+  if (f.header.payload_bits % 64 != 0) {
+    std::uint8_t last[8] = {};
+    std::memcpy(last, p, f.payload.size() - whole * 8);
+    // Nonzero pad bits mismatch the tail word's zero bits.
+    return load_be64(last) == filler_tail_word(state, f.header.payload_bits);
+  }
+  return true;
 }
 
 Frame make_relay_frame(std::uint32_t src, std::uint32_t seq, std::size_t k,

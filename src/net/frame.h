@@ -33,6 +33,10 @@
 /// resynchronization anchor: the fault injector never corrupts it, so a
 /// flipped body never desynchronizes the byte stream.
 
+namespace tft {
+class BitWriter;
+}  // namespace tft
+
 namespace tft::net {
 
 enum class FrameType : std::uint8_t {
@@ -91,7 +95,9 @@ void serialize_frame_into(const Frame& f, std::vector<std::uint8_t>& out);
 /// folded in when nonzero, so two sessions never share a filler stream —
 /// truncated to payload_bits with zero pad bits. Receivers regenerate and
 /// compare — corruption that slipped past the CRC (or a codec bug) is
-/// caught here.
+/// caught here. Both run a 64-bit word per step; verify streams the
+/// generator against the payload without allocating and stops at the first
+/// mismatching word (a wrong-length payload fails before any draw).
 [[nodiscard]] std::vector<std::uint8_t> make_filler_payload(const FrameHeader& h);
 [[nodiscard]] bool verify_filler_payload(const Frame& f);
 
@@ -100,6 +106,12 @@ void serialize_frame_into(const Frame& f, std::vector<std::uint8_t>& out);
 /// pre-session encoding. Shared by the filler generators and the fault
 /// injector — the "(session, link, seq)" keying contract.
 [[nodiscard]] std::uint64_t fold_session(std::uint64_t seed, std::uint32_t session) noexcept;
+
+/// Append `bits` of the filler stream keyed by `seed`: each splitmix64 draw's
+/// top min(64, bits left) bits, MSB first. make_filler_payload is this
+/// stream from an empty writer; relay and batch frames append it after
+/// their own fields.
+void append_filler_bits(BitWriter& w, std::uint64_t seed, std::uint64_t bits);
 
 /// Build / decode a message-passing relay frame: the payload is the
 /// recipient id in exactly vertex_bits(k) fixed-width bits — the header

@@ -137,6 +137,7 @@ void ServiceCoordinator::worker_loop() {
     if (!pending) return;
     ++running_;
     lock.unlock();
+    if (cfg_.on_session_start) cfg_.on_session_start(pending->wire_id);
     SessionOutcome out = execute(pending->spec, pending->wire_id);
     // Release the admission slot BEFORE fulfilling the promise: a client
     // that resubmits the instant its future is ready must find room, or a

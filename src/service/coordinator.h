@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -56,6 +57,10 @@ struct ServiceConfig {
   std::size_t max_live_sessions = 8;  ///< worker pool size
   std::size_t max_pending = 64;       ///< admitted (queued + running) cap
   SchedulerKind scheduler = SchedulerKind::kFifo;
+  /// If set, runs on the worker thread with the session's wire id just
+  /// before the session executes; the session is already counted live and
+  /// holds its admission slot. Tests use it to hold a session in place.
+  std::function<void(std::uint32_t wire_id)> on_session_start;
 };
 
 /// One finished session, as the coordinator saw it.

@@ -8,9 +8,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -133,21 +135,37 @@ void ServiceDaemon::shutdown() {
 void ServiceDaemon::accept_loop() {
   // One thread per connection: a session can run for seconds, and the soak
   // test's whole point is concurrent clients making concurrent sessions.
-  std::vector<std::thread> handlers;
+  // Finished handlers are joined as new connections arrive, so a long-lived
+  // daemon holds only the stacks of connections still being served.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Handler> handlers;  // stable addresses: each thread flags its own
   while (true) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // shutdown() closed the listener out from under us
     }
+    for (auto it = handlers.begin(); it != handlers.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = handlers.erase(it);
+      } else {
+        ++it;
+      }
+    }
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    handlers.emplace_back([this, fd] {
+    Handler& h = handlers.emplace_back();
+    h.thread = std::thread([this, fd, &h] {
       serve_connection(fd);
       (void)::close(fd);
+      h.done.store(true, std::memory_order_release);
     });
   }
-  for (auto& h : handlers) h.join();
+  for (auto& h : handlers) h.thread.join();
 }
 
 void ServiceDaemon::serve_connection(int fd) {

@@ -22,18 +22,21 @@ void* Arena::allocate(std::size_t bytes, std::size_t align) {
         used_ = start + bytes;
         return b.data + start;
       }
-      // Active block exhausted: move to the next (pre-existing blocks are
-      // reused after a rewind) or fall through to grow.
-      if (active_ + 1 < blocks_.size() && blocks_[active_ + 1].size >= bytes + align) {
-        ++active_;
+      // Active block exhausted: move to the first later block that fits
+      // (pre-existing blocks are reused after a rewind), skipping the ones
+      // too small for this request — they serve later small requests after
+      // the next rewind. Growing while a later block fits would add a block
+      // per rewind cycle for the life of the thread.
+      std::size_t next = active_ + 1;
+      while (next < blocks_.size() && blocks_[next].size < bytes + align) ++next;
+      if (next < blocks_.size()) {
+        active_ = next;
         used_ = 0;
         continue;
       }
     }
     add_block(bytes + align);
-    // After add_block the new block is last; make it active. Blocks between
-    // the old active and the new one were too small for this request — skip
-    // them (they'll serve later small requests after the next reset).
+    // No block fits: the new one is last; make it active.
     active_ = blocks_.size() - 1;
     used_ = 0;
   }

@@ -59,6 +59,9 @@ void ThreadPool::run_on_workers(const std::function<void(int)>& job) {
     job(0);
     return;
   }
+  // One job slot: a second submitter must not overwrite job_/running_ while
+  // workers still run the first one's job.
+  std::lock_guard submit(submit_mutex_);
   {
     std::lock_guard lk(mutex_);
     job_ = &job;

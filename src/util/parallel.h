@@ -64,7 +64,9 @@ class ThreadPool {
   [[nodiscard]] int size() const noexcept { return static_cast<int>(threads_.size()) + 1; }
 
   /// Runs job(worker_index) once per worker, concurrently, and returns when
-  /// all invocations have completed. The job must not throw.
+  /// all invocations have completed. The job must not throw. Safe to call
+  /// from several threads at once: submitters take turns, one region at a
+  /// time, so each caller's job runs on the whole pool.
   void run_on_workers(const std::function<void(int)>& job);
 
   /// The process-wide pool, sized to `default_threads()`. Rebuilt lazily if
@@ -75,6 +77,7 @@ class ThreadPool {
   void worker_loop(int index);
 
   std::vector<std::thread> threads_;
+  std::mutex submit_mutex_;  // held by the one submitter whose job owns the slot below
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;

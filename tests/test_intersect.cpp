@@ -124,6 +124,29 @@ TEST(Arena, ScopeRewindsOnExit) {
   EXPECT_EQ(arena.used_bytes(), used);
 }
 
+TEST(Arena, RewindCyclesReuseALaterBlockInsteadOfGrowing) {
+  // A chain of 64, 128 and 256 KiB blocks. Each cycle below fills part of
+  // block 0, then asks for more than block 1 holds: block 2 fits, so the
+  // arena must move to it rather than append a fresh block every cycle.
+  Arena arena;
+  (void)arena.alloc<std::uint8_t>(60 << 10);
+  (void)arena.alloc<std::uint8_t>(100 << 10);
+  (void)arena.alloc<std::uint8_t>(200 << 10);
+  arena.reset();
+  std::size_t after_first = 0;
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    {
+      ArenaScope scope(arena);
+      (void)arena.alloc<std::uint8_t>(10 << 10);
+      auto big = arena.alloc<std::uint8_t>(200 << 10);
+      big[big.size() - 1] = 1;
+    }
+    if (cycle == 0) after_first = arena.capacity_bytes();
+    ASSERT_EQ(arena.capacity_bytes(), after_first) << "grew in cycle " << cycle;
+  }
+  EXPECT_EQ(after_first, std::size_t{448} << 10);
+}
+
 TEST(ArenaBuf, GrowsClearsAndTakesExact) {
   Arena arena;
   ArenaScope scope(arena);

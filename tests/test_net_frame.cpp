@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "net/arq.h"
 #include "net/error.h"
 #include "net/frame.h"
 #include "net/recovery.h"
@@ -115,6 +117,96 @@ TEST(NetFrame, FillerPayloadIsDeterministicAndAddressed) {
   Frame tampered = f;
   tampered.payload[0] ^= 0x80;
   EXPECT_FALSE(verify_filler_payload(tampered));
+}
+
+// CRC32 of make_filler_payload for a fixed address (src 2, dst 4, seq 3),
+// captured from the bit-at-a-time generator the word-level one replaced.
+// Sizes straddle every byte and word boundary, plus a 438 KB bulk frame.
+struct FillerPin {
+  std::uint32_t session;
+  std::uint64_t bits;
+  std::uint32_t crc;
+};
+
+constexpr FillerPin kFillerPins[] = {
+    {0, 0, 0x00000000},       {0, 1, 0x3FBA6CAD},       {0, 7, 0x5D677172},
+    {0, 8, 0x0A0FC457},       {0, 9, 0x9E9F240C},       {0, 63, 0xDA403095},
+    {0, 64, 0x9D228B19},      {0, 65, 0x003311AD},      {0, 1000003, 0xC452A412},
+    {0, 3506136, 0xF188B3DB}, {1, 0, 0x00000000},       {1, 1, 0xD202EF8D},
+    {1, 7, 0x616495A3},       {1, 8, 0x7F6567CB},       {1, 9, 0xAA099F5E},
+    {1, 63, 0xEC214F73},      {1, 64, 0x9CCB282D},      {1, 65, 0x93FF0364},
+    {1, 1000003, 0xCF2BECC0}, {1, 3506136, 0x98059184},
+};
+
+FrameHeader pinned_header(std::uint32_t session, std::uint64_t bits) {
+  FrameHeader h;
+  h.src = 2;
+  h.dst = 4;
+  h.seq = 3;
+  h.phase = 1;
+  h.payload_bits = bits;
+  h.session = session;
+  return h;
+}
+
+TEST(NetFrame, FillerPayloadBytesArePinned) {
+  for (const FillerPin& pin : kFillerPins) {
+    SCOPED_TRACE(testing::Message() << "session " << pin.session << " bits " << pin.bits);
+    Frame f;
+    f.header = pinned_header(pin.session, pin.bits);
+    f.payload = make_filler_payload(f.header);
+    ASSERT_EQ(f.payload.size(), (pin.bits + 7) / 8);
+    EXPECT_EQ(crc32(f.payload), pin.crc);
+    EXPECT_TRUE(verify_filler_payload(f));
+  }
+}
+
+TEST(NetFrame, RelayAndBatchFillerBytesArePinned) {
+  // Both append the filler after their own fields, so it starts mid-byte.
+  const std::pair<std::uint64_t, std::uint32_t> relay[] = {
+      {0, 0x3FBA6CAD}, {5, 0xB5DFA541}, {64, 0xE1A899FA}, {131, 0x06A0B1E7},
+      {1000003, 0xB99468E2}};
+  for (const auto& [bits, crc] : relay) {
+    const Frame f = make_relay_frame(/*src=*/1, /*seq=*/9, /*k=*/6, /*recipient=*/4, bits);
+    EXPECT_EQ(crc32(f.payload), crc) << "relay message bits " << bits;
+    EXPECT_EQ(decode_relay_recipient(f, 6), 4u);
+  }
+  const std::vector<ChargeRec> charges = {{1, 0}, {2, 13}, {2, 64}, {3, 200}, {5, 70001}};
+  for (const auto& [session, crc] : {std::pair{0u, 0x2FCE4183u}, std::pair{3u, 0xC082E9EEu}}) {
+    const Frame f = make_batch_frame(/*src=*/2, /*dst=*/4, /*seq=*/17, charges, session);
+    EXPECT_EQ(f.header.payload_bits, 70371u);
+    EXPECT_EQ(crc32(f.payload), crc) << "batch session " << session;
+    std::vector<ChargeRec> out;
+    EXPECT_TRUE(decode_batch_frame(f, out));
+    EXPECT_EQ(out.size(), charges.size());
+  }
+}
+
+TEST(NetFrame, VerifyRejectsEveryBitFlipAndWrongLength) {
+  for (const std::uint64_t bits : {1u, 9u, 63u, 64u, 65u, 200u}) {
+    Frame f;
+    f.header = pinned_header(/*session=*/1, bits);
+    f.payload = make_filler_payload(f.header);
+    ASSERT_TRUE(verify_filler_payload(f));
+    // Every bit of every byte, pad bits included: a flipped pad bit is a
+    // non-canonical payload, not the filler.
+    for (std::size_t bit = 0; bit < f.payload.size() * 8; ++bit) {
+      Frame flipped = f;
+      flipped.payload[bit / 8] ^= static_cast<std::uint8_t>(0x80u >> (bit % 8));
+      EXPECT_FALSE(verify_filler_payload(flipped)) << "bits " << bits << " flip " << bit;
+    }
+    Frame longer = f;
+    longer.payload.push_back(0);
+    EXPECT_FALSE(verify_filler_payload(longer)) << "bits " << bits;
+    Frame shorter = f;
+    shorter.payload.pop_back();
+    EXPECT_FALSE(verify_filler_payload(shorter)) << "bits " << bits;
+  }
+  Frame empty;
+  empty.header = pinned_header(/*session=*/0, /*bits=*/0);
+  EXPECT_TRUE(verify_filler_payload(empty));
+  empty.payload.push_back(0);
+  EXPECT_FALSE(verify_filler_payload(empty));
 }
 
 TEST(NetFrame, ZeroPayloadFrameIsLegal) {

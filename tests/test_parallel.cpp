@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.h"
@@ -138,6 +139,53 @@ TEST(Parallel, NestedParallelCallsDegradeToSerial) {
   for (std::size_t i = 0; i < 16; ++i)
     for (std::size_t j = 0; j < 8; ++j) expect += i + j;
   EXPECT_EQ(got, expect);
+}
+
+TEST(Parallel, ConcurrentSubmittersEachRunTheirJobOncePerWorker) {
+  // Several threads share one pool, as concurrent service sessions share the
+  // global pool. Every region must see each worker index exactly once.
+  ThreadPool pool(4);
+  std::atomic<int> bad{0};
+  std::vector<std::thread> submitters;
+  for (int s = 0; s < 4; ++s) {
+    submitters.emplace_back([&] {
+      for (int region = 0; region < 300; ++region) {
+        std::vector<std::atomic<int>> hit(static_cast<std::size_t>(pool.size()));
+        pool.run_on_workers([&](int w) { hit[static_cast<std::size_t>(w)].fetch_add(1); });
+        for (const auto& h : hit) {
+          if (h.load() != 1) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : submitters) t.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(Parallel, ConcurrentReducesOnTheGlobalPoolAreExact) {
+  const std::size_t n = 5000;
+  const std::uint64_t expect = n * (n - 1) / 2;
+  const auto sums = with_threads(4, [&] {
+    std::vector<std::uint64_t> got(4 * 100);
+    std::vector<std::thread> submitters;
+    for (std::size_t s = 0; s < 4; ++s) {
+      submitters.emplace_back([&, s] {
+        for (std::size_t r = 0; r < 100; ++r) {
+          got[s * 100 + r] = parallel_reduce(
+              n, std::uint64_t{0},
+              [](std::size_t b, std::size_t e) {
+                std::uint64_t sum = 0;
+                for (std::size_t i = b; i < e; ++i) sum += i;
+                return sum;
+              },
+              [](std::uint64_t a, std::uint64_t b) { return a + b; });
+        }
+      });
+    }
+    for (auto& t : submitters) t.join();
+    return got;
+  });
+  for (const std::uint64_t got : sums) EXPECT_EQ(got, expect);
 }
 
 TEST(Parallel, CountTrianglesMatchesAtEveryThreadCount) {

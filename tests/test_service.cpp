@@ -6,8 +6,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <fstream>
 #include <future>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -43,6 +48,45 @@ ServiceConfig inproc_config(std::size_t live, std::size_t pending) {
   cfg.max_pending = pending;
   return cfg;
 }
+
+/// Holds one session on its worker, live and holding its admission slot,
+/// until open(). Tests use it where they need a session to still be running
+/// while they submit more, however fast the session itself would be.
+class SessionGate {
+ public:
+  /// Installs the hold on `cfg` for the session with wire id `wire_id`,
+  /// after any hook `cfg` already has.
+  SessionGate(ServiceConfig& cfg, std::uint32_t wire_id) {
+    cfg.on_session_start = [s = state_, wire_id, prev = cfg.on_session_start](std::uint32_t id) {
+      if (prev) prev(id);
+      if (id != wire_id) return;
+      std::unique_lock lock(s->mu);
+      s->held = true;
+      s->cv.notify_all();
+      s->cv.wait(lock, [&] { return s->open; });
+    };
+  }
+  void wait_until_held() {
+    std::unique_lock lock(state_->mu);
+    state_->cv.wait(lock, [this] { return state_->held; });
+  }
+  void open() {
+    {
+      const std::lock_guard lock(state_->mu);
+      state_->open = true;
+    }
+    state_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool held = false;
+    bool open = false;
+  };
+  std::shared_ptr<State> state_ = std::make_shared<State>();
+};
 
 // ---- codecs -----------------------------------------------------------------
 
@@ -153,17 +197,21 @@ TEST(ServiceCoordinatorTest, RunsConcurrentSessionsWithExactAccounting) {
 TEST(ServiceCoordinatorTest, RejectsPastCapacityWithTypedBusy) {
   // One worker, one admitted slot total: the second immediate submit must
   // bounce while the first still occupies admission.
-  ServiceCoordinator coordinator(inproc_config(/*live=*/1, /*pending=*/1));
+  ServiceConfig cfg = inproc_config(/*live=*/1, /*pending=*/1);
+  SessionGate gate(cfg, /*wire_id=*/1);  // keep the single slot occupied
+  ServiceCoordinator coordinator(cfg);
   SessionSpec slow = small_spec(1);
-  slow.n = 4000;  // keep the single slot occupied across the second submit
+  slow.n = 4000;
   auto first = coordinator.submit(slow);
+  gate.wait_until_held();
   try {
     (void)coordinator.submit(small_spec(2));
-    FAIL() << "submit past max_pending must throw kServiceBusy";
+    ADD_FAILURE() << "submit past max_pending must throw kServiceBusy";
   } catch (const NetError& e) {
     EXPECT_EQ(e.kind(), NetErrorKind::kServiceBusy);
   }
   EXPECT_GE(coordinator.sessions_rejected(), 1u);
+  gate.open();
   const SessionOutcome out = first.get();
   EXPECT_NE(out.status, ReplyStatus::kError) << out.error;
 }
@@ -171,27 +219,40 @@ TEST(ServiceCoordinatorTest, RejectsPastCapacityWithTypedBusy) {
 TEST(ServiceCoordinatorTest, FairShareRoundRobinsAcrossTenants) {
   ServiceConfig cfg = inproc_config(/*live=*/1, /*pending=*/8);
   cfg.scheduler = SchedulerKind::kFairShare;
+  std::mutex started_mu;
+  std::vector<std::uint32_t> started;  // wire ids in the order the worker ran them
+  cfg.on_session_start = [&](std::uint32_t id) {
+    const std::lock_guard lock(started_mu);
+    started.push_back(id);
+  };
+  SessionGate gate(cfg, /*wire_id=*/1);
   ServiceCoordinator coordinator(cfg);
 
-  // Pin the single worker on a slow tenant-a session, then queue a, a, b.
-  // Round-robin resumes after "a": the lone b runs before both queued a's.
+  // Pin the single worker on a tenant-a session, then queue a, a, b.
+  // Round-robin across tenants: b runs before the second queued a.
   SessionSpec slow = small_spec(1, "a");
   slow.n = 6000;
   auto pin = coordinator.submit(slow);
+  gate.wait_until_held();
   auto a1 = coordinator.submit(small_spec(2, "a"));
   auto a2 = coordinator.submit(small_spec(3, "a"));
   auto b1 = coordinator.submit(small_spec(4, "b"));
+  gate.open();
 
-  (void)b1.get();  // b's turn comes first...
-  using namespace std::chrono_literals;
-  const bool a_done_before_b =
-      a1.wait_for(0s) == std::future_status::ready && a2.wait_for(0s) == std::future_status::ready;
-  EXPECT_FALSE(a_done_before_b) << "fair-share must not serve tenant a twice before b";
+  (void)b1.get();
   for (auto* f : {&pin, &a1, &a2}) {
     const SessionOutcome out = f->get();
     EXPECT_NE(out.status, ReplyStatus::kError) << out.error;
     EXPECT_TRUE(out.accounting_exact);
   }
+  // Wire ids follow submission order: pin 1, a1 2, a2 3, b1 4.
+  const std::lock_guard lock(started_mu);
+  ASSERT_EQ(started.size(), 4u);
+  const auto turn = [&](std::uint32_t id) {
+    return std::find(started.begin(), started.end(), id) - started.begin();
+  };
+  EXPECT_LT(turn(4), std::max(turn(2), turn(3)))
+      << "fair-share must not serve tenant a twice before b";
 }
 
 TEST(ServiceCoordinatorTest, DrainStopsAdmissionTyped) {
@@ -249,6 +310,43 @@ TEST(ServiceDaemonTest, ServesSpecsOverLoopbackTcp) {
   // Shutdown is idempotent and the port stops answering.
   daemon.shutdown();
   EXPECT_THROW((void)request(daemon.port(), small_spec(13)), NetError);
+}
+
+/// VmSize of this process in KiB (/proc/self/status); 0 if unavailable.
+std::uint64_t vm_size_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(ServiceDaemonTest, ReapsFinishedConnectionThreads) {
+  if (!net::LoopbackSocketTransport::available()) {
+    GTEST_SKIP() << "no loopback networking in this environment";
+  }
+  ServiceDaemon daemon(inproc_config(/*live=*/2, /*pending=*/8));
+  // Warm-up: coordinator workers, servicer pollers and allocator arenas
+  // reach their steady state before the baseline is read.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    ASSERT_NE(request(daemon.port(), small_spec(seed)).status, ReplyStatus::kError);
+  }
+  const std::uint64_t before = vm_size_kib();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status";
+  for (std::uint64_t seed = 100; seed < 164; ++seed) {
+    const ServiceReply r = request(daemon.port(), small_spec(seed));
+    ASSERT_NE(r.status, ReplyStatus::kError) << r.error;
+  }
+  // An unjoined handler keeps its whole stack mapped (8 MiB by default), so
+  // 64 of them add ~512 MiB. Reaped, only the last connection or two may
+  // still be unjoined; the headroom is for the allocator, which reserves
+  // address space a 64 MiB arena at a time when threads overlap.
+  const std::uint64_t after = vm_size_kib();
+  EXPECT_LT(after, before + (std::uint64_t{256} << 10))
+      << "VmSize grew from " << before << " KiB to " << after << " KiB over 64 sessions";
+  daemon.shutdown();
+  EXPECT_EQ(daemon.coordinator().sessions_completed(), 72u);
 }
 
 // ---- spec versioning: the shard-affinity field ------------------------------
@@ -314,28 +412,34 @@ TEST(ServiceDaemonTest, RetryOutlastsABusyWindow) {
   if (!net::LoopbackSocketTransport::available()) {
     GTEST_SKIP() << "no loopback networking in this environment";
   }
-  ServiceDaemon daemon(inproc_config(/*live=*/1, /*pending=*/1));
+  ServiceConfig cfg = inproc_config(/*live=*/1, /*pending=*/1);
+  SessionGate gate(cfg, /*wire_id=*/1);
+  ServiceDaemon daemon(cfg);
 
-  // A slow occupant holds the only admission slot while we probe.
+  // An occupant holds the only admission slot while we probe.
   SessionSpec slow = small_spec(31);
   slow.n = 4000;
   ServiceReply occupant_reply;
   std::thread occupant([&] { occupant_reply = request(daemon.port(), slow); });
-  while (daemon.coordinator().live_sessions() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  gate.wait_until_held();
 
   // retries=0 is a plain request: the busy window is observable, typed.
   const ServiceReply busy = request_with_retry(daemon.port(), small_spec(32), 0, 1);
   EXPECT_EQ(busy.status, ReplyStatus::kBusy);
   EXPECT_FALSE(busy.error.empty()) << "a busy reply should say what was full";
 
-  // A budgeted retry converges once the occupant completes.
+  // A budgeted retry converges once the occupant completes: it is released
+  // while the retry below is already backing off.
+  std::thread release([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.open();
+  });
   const ServiceReply ok = request_with_retry(daemon.port(), small_spec(33), 400, 5);
   EXPECT_NE(ok.status, ReplyStatus::kBusy) << ok.error;
   EXPECT_NE(ok.status, ReplyStatus::kError) << ok.error;
   EXPECT_TRUE(ok.accounting_exact);
 
+  release.join();
   occupant.join();
   EXPECT_NE(occupant_reply.status, ReplyStatus::kBusy) << occupant_reply.error;
   EXPECT_NE(occupant_reply.status, ReplyStatus::kError) << occupant_reply.error;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
+
 #include "comm/wire.h"
 #include "graph/generators.h"
 #include "util/bits.h"
@@ -57,6 +62,147 @@ TEST(BitStream, ReaderThrowsPastEnd) {
   BitReader r(w.bytes(), w.bit_size());
   (void)r.get_bit();
   EXPECT_THROW((void)r.get_bit(), std::out_of_range);
+}
+
+// ---- BitWriter / BitReader against bit-at-a-time reference models ----------
+
+/// One bit per step, one byte appended when a bit starts it: the plainest
+/// statement of the MSB-first format the word-level codec must reproduce.
+struct RefWriter {
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t bits = 0;
+
+  void put_bit(bool b) {
+    if (bits % 8 == 0) bytes.push_back(0);
+    if (b) bytes.back() |= static_cast<std::uint8_t>(0x80u >> (bits % 8));
+    ++bits;
+  }
+  void put_bits(std::uint64_t value, std::uint32_t width) {
+    for (std::uint32_t i = width; i > 0; --i) put_bit(((value >> (i - 1)) & 1) != 0);
+  }
+  void put_gamma(std::uint64_t value) {
+    const std::uint64_t v = value + 1;
+    const auto width = static_cast<std::uint32_t>(bit_width_of(v));
+    for (std::uint32_t i = 1; i < width; ++i) put_bit(false);
+    put_bits(v, width);
+  }
+};
+
+/// Bit-at-a-time reader with BitReader's bounds: a read past the end
+/// throws once every bit before the end is consumed.
+struct RefReader {
+  const std::vector<std::uint8_t>& bytes;
+  std::uint64_t bit_size;
+  std::uint64_t pos = 0;
+
+  bool get_bit() {
+    if (pos >= bit_size) throw WireError("BitReader: read past end of buffer");
+    const bool b = (bytes[pos / 8] & (0x80u >> (pos % 8))) != 0;
+    ++pos;
+    return b;
+  }
+  std::uint64_t get_bits(std::uint32_t width) {
+    std::uint64_t v = 0;
+    for (std::uint32_t i = 0; i < width; ++i) v = (v << 1) | (get_bit() ? 1 : 0);
+    return v;
+  }
+};
+
+/// A value spanning every magnitude, with junk above `width` for put_bits
+/// to mask off.
+std::uint64_t random_value(Rng& rng) { return rng() >> rng.below(64); }
+
+TEST(BitStream, WriterMatchesBitAtATimeReference) {
+  Rng rng(13);
+  for (int trial = 0; trial < 200; ++trial) {
+    BitWriter w;
+    RefWriter ref;
+    const int ops = 1 + static_cast<int>(rng.below(60));
+    for (int op = 0; op < ops; ++op) {
+      switch (rng.below(3)) {
+        case 0: {
+          const auto width = static_cast<std::uint32_t>(rng.below(65));
+          const std::uint64_t value = random_value(rng);
+          w.put_bits(value, width);
+          ref.put_bits(value, width);
+          break;
+        }
+        case 1: {
+          const std::uint64_t value = random_value(rng);
+          w.put_gamma(value);
+          ref.put_gamma(value);
+          break;
+        }
+        default: {
+          const bool b = rng.below(2) != 0;
+          w.put_bit(b);
+          ref.put_bit(b);
+        }
+      }
+      ASSERT_EQ(w.bit_size(), ref.bits) << "trial " << trial << " op " << op;
+      ASSERT_EQ(w.bytes(), ref.bytes) << "trial " << trial << " op " << op;
+    }
+  }
+  BitWriter w;
+  EXPECT_THROW(w.put_bits(0, 65), std::invalid_argument);
+  EXPECT_EQ(w.bit_size(), 0u);
+}
+
+TEST(BitStream, ReaderMatchesBitAtATimeReference) {
+  Rng rng(17);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint8_t> bytes(rng.below(24));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+    // Sometimes overstate bit_size: both clamp to the real buffer.
+    const std::uint64_t bit_size = rng.below(bytes.size() * 8 + 16);
+    BitReader r(bytes, bit_size);
+    RefReader ref{bytes, std::min<std::uint64_t>(bit_size, bytes.size() * 8)};
+    for (int op = 0; op < 40; ++op) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " op " << op);
+      const auto width = static_cast<std::uint32_t>(rng.below(65));
+      bool threw = false;
+      std::uint64_t got = 0;
+      try {
+        got = r.get_bits(width);
+      } catch (const WireError& e) {
+        threw = true;
+        EXPECT_STREQ(e.what(), "BitReader: read past end of buffer");
+      }
+      bool ref_threw = false;
+      std::uint64_t want = 0;
+      try {
+        want = ref.get_bits(width);
+      } catch (const WireError&) {
+        ref_threw = true;
+      }
+      ASSERT_EQ(threw, ref_threw);
+      ASSERT_EQ(got, want);
+      ASSERT_EQ(r.position(), ref.pos);
+      if (threw) break;
+    }
+  }
+  const std::vector<std::uint8_t> buf(16, 0xFF);
+  BitReader r(buf, buf.size() * 8);
+  EXPECT_THROW((void)r.get_bits(65), WireError);
+  EXPECT_EQ(r.position(), 0u);
+}
+
+TEST(BitStream, ReaderDecodesWriterOutputAtEveryAlignment) {
+  Rng rng(19);
+  for (std::uint32_t lead = 0; lead < 8; ++lead) {
+    for (std::uint32_t width = 0; width <= 64; ++width) {
+      const std::uint64_t value = width == 0 ? 0 : rng() >> (64 - width);
+      BitWriter w;
+      w.put_bits(0, lead);
+      w.put_bits(value, width);
+      w.put_gamma(width);
+      BitReader r(w.bytes(), w.bit_size());
+      EXPECT_EQ(r.get_bits(lead), 0u);
+      EXPECT_EQ(r.get_bits(width), value) << "lead " << lead << " width " << width;
+      EXPECT_EQ(r.get_gamma(), width);
+      EXPECT_TRUE(r.exhausted());
+    }
+  }
 }
 
 TEST(Wire, EdgeListRoundTrip) {
