@@ -22,19 +22,6 @@ namespace {
 // Scalar reference implementations (always compiled; the identity anchor).
 // ---------------------------------------------------------------------------
 
-/// lower_bound with an exponential (galloping) probe from `first`: O(log gap)
-/// instead of O(log len) when successive lookups advance monotonically.
-const Vertex* gallop_lower_bound(const Vertex* first, const Vertex* last, Vertex x) noexcept {
-  std::size_t step = 1;
-  const Vertex* probe = first;
-  while (probe < last && *probe < x) {
-    first = probe + 1;
-    probe += step;
-    step <<= 1;
-  }
-  return std::lower_bound(first, std::min(probe, last), x);
-}
-
 /// Count when |a| << |b|: gallop through b once for each element of a.
 std::uint64_t gallop_count(std::span<const Vertex> a, std::span<const Vertex> b) noexcept {
   std::uint64_t c = 0;

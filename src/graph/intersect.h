@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -99,6 +100,8 @@ struct Ops {
 
   /// First candidate (in row order == ascending) whose bit is set and that
   /// `accept` takes. Bit index is b[i] (no base; find paths are unblocked).
+  /// Its one caller is the greedy packing's fallback search, on the edges
+  /// whose smallest closure is already taken, when one row dwarfs the other.
   bool (*bitmap_find)(const std::uint32_t* bits, const Vertex* b, std::size_t len,
                       Accept accept, void* ctx, Vertex* out);
 };
@@ -141,6 +144,20 @@ void set_scratch_retain_bytes(std::size_t bytes) noexcept;
 /// L2). Test knob: tiny values force the blocked path on small graphs.
 void set_block_bits(std::uint32_t bits) noexcept;
 [[nodiscard]] std::uint32_t block_bits() noexcept;
+
+/// lower_bound with an exponential (galloping) probe from `first`: O(log gap)
+/// instead of O(log len) when successive lookups advance monotonically.
+[[nodiscard]] inline const Vertex* gallop_lower_bound(const Vertex* first, const Vertex* last,
+                                                      Vertex x) noexcept {
+  std::size_t step = 1;
+  const Vertex* probe = first;
+  while (probe < last && *probe < x) {
+    first = probe + 1;
+    probe += step;
+    step <<= 1;
+  }
+  return std::lower_bound(first, std::min(probe, last), x);
+}
 
 /// Oriented-CSR offsets are uint32_t: reject inputs whose edge count would
 /// wrap them. Throws std::length_error when m >= UINT32_MAX.

@@ -1,6 +1,7 @@
 #include "graph/triangles.h"
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
 
 #include "graph/intersect.h"
@@ -129,9 +130,10 @@ constexpr std::uint64_t kGatherIdLimit = std::uint64_t{1} << 31;
 /// Request every cache line of a row ahead of use. The candidate rows the
 /// kernels scan are scattered over the whole CSR (tens of MB at bench
 /// scale), so the hot loops are DRAM-latency-bound; a lookahead prefetch
-/// overlaps those misses with current work. Only the SIMD strategies issue
-/// prefetches — kScalar stays byte-for-byte the pre-PR kernel so the A/B
-/// bench and the pinned baseline rows keep a stable reference.
+/// overlaps those misses with current work. count_triangles prefetches only
+/// on the SIMD strategies — its kScalar path stays byte-for-byte the pre-PR
+/// kernel so the A/B bench keeps a stable reference; the packing has one
+/// path and prefetches on every variant.
 inline void prefetch_row(const Vertex* p, std::size_t count) noexcept {
   const auto* c = reinterpret_cast<const char*>(p);
   const auto* end = reinterpret_cast<const char*>(p + count);
@@ -140,7 +142,7 @@ inline void prefetch_row(const Vertex* p, std::size_t count) noexcept {
 
 /// Lookahead distance (in loop iterations) for the prefetches above.
 constexpr std::size_t kPrefetchDist = 8;
-constexpr std::size_t kPackPrefetchDist = 12;
+constexpr std::size_t kPackPrefetchDist = 16;
 
 inline void set_bit(std::uint32_t* bits, Vertex w) noexcept {
   bits[w >> 5] |= std::uint32_t{1} << (w & 31);
@@ -312,25 +314,30 @@ std::optional<Triangle> close_vee(const Graph& g, const Vee& vee) {
 
 namespace {
 
-/// Flat edge-index lookup over the graph's sorted edge list: edges_ is
-/// sorted by (u, v), so the edges with first endpoint u form a contiguous
-/// range and a binary search over the v's inside it resolves the index.
+/// Edge indices from the graph's own CSR. The edge list is sorted by
+/// (u, v), so the edges with first endpoint u form a contiguous range, and
+/// that range lists u's upper row N+(u) = {w in N(u) : w > u}, which is the
+/// tail of u's CSR row: its k-th entry is edge row_start[u] + k. Lookups
+/// binary-search that 4-byte row rather than the 8-byte edge structs.
 struct EdgeIndex {
-  std::span<const Edge> edges;
+  const Graph& g;
   std::vector<std::uint32_t> row_start;  // first edge index with .u >= u
 
-  explicit EdgeIndex(const Graph& g) : edges(g.edges()) {
+  explicit EdgeIndex(const Graph& graph) : g(graph) {
     row_start.assign(static_cast<std::size_t>(g.n()) + 1, 0);
-    for (const Edge& e : edges) ++row_start[e.u + 1];
+    for (const Edge& e : g.edges()) ++row_start[e.u + 1];
     for (std::size_t u = 1; u < row_start.size(); ++u) row_start[u] += row_start[u - 1];
+  }
+
+  [[nodiscard]] std::span<const Vertex> upper_row(Vertex u) const noexcept {
+    return g.neighbors(u).last(row_start[u + 1] - row_start[u]);
   }
 
   [[nodiscard]] std::size_t of(Vertex a, Vertex b) const noexcept {
     const Edge e(a, b);
-    const auto* first = edges.data() + row_start[e.u];
-    const auto* last = edges.data() + row_start[e.u + 1];
-    const auto* it = std::lower_bound(first, last, e);
-    return static_cast<std::size_t>(it - edges.data());
+    const auto row = upper_row(e.u);
+    return row_start[e.u] +
+           static_cast<std::size_t>(std::lower_bound(row.begin(), row.end(), e.v) - row.begin());
   }
 };
 
@@ -344,13 +351,115 @@ class EdgeBitmap {
     return (words_[i >> 6] >> (i & 63)) & 1u;
   }
   void set(std::size_t i) noexcept { words_[i >> 6] |= std::uint64_t{1} << (i & 63); }
-  void prefetch(std::size_t i) const noexcept {
-    __builtin_prefetch(&words_[i >> 6], 0, 3);
-  }
 
  private:
   std::vector<std::uint64_t> words_;
 };
+
+/// Per-edge result of the listing phase: the closure (pair of closing edge
+/// indices) with the smallest closing vertex, and one bit saying whether
+/// the edge has any other closure. For edge {a, b} (a < b) closed by w the
+/// slot holds (index{a, w} << 32) | index{b, w}. The sorted edge list makes
+/// index{a, w} strictly increasing in w for fixed a, so the numeric minimum
+/// of the slot is the minimum-w closure and a CAS-min keeps it.
+constexpr std::uint64_t kNoClosure = ~std::uint64_t{0};
+
+struct ClosureSlots {
+  std::span<std::uint64_t> slot;  // per edge; kNoClosure when in no triangle
+  std::span<std::uint64_t> more;  // bit per edge: another closure exists
+
+  void offer(std::uint32_t e, std::uint32_t via_low, std::uint32_t via_high) const noexcept {
+    const std::uint64_t key = (static_cast<std::uint64_t>(via_low) << 32) | via_high;
+    std::atomic_ref<std::uint64_t> cell(slot[e]);
+    std::uint64_t cur = cell.load(std::memory_order_relaxed);
+    while (key < cur && !cell.compare_exchange_weak(cur, key, std::memory_order_relaxed)) {
+      // A failed CAS reloaded cur; retry while this closure is still smaller.
+    }
+    // cur is what the slot held when this offer lost or won: only the first
+    // offer to an edge finds it empty.
+    if (cur == kNoClosure) return;
+    // Load before the RMW: on triangle-dense inputs almost every offer finds
+    // the bit already set.
+    const std::uint64_t bit = std::uint64_t{1} << (e & 63);
+    std::atomic_ref<std::uint64_t> word(more[e >> 6]);
+    if ((word.load(std::memory_order_relaxed) & bit) == 0) {
+      word.fetch_or(bit, std::memory_order_relaxed);
+    }
+  }
+
+  [[nodiscard]] bool has_more(std::size_t e) const noexcept {
+    return (more[e >> 6] >> (e & 63)) & 1u;
+  }
+};
+
+/// Phase 1: list every triangle u < v < w once, in id order, and offer each
+/// of its three closures. Per u, N+(u) is marked in the thread's bitmap and
+/// each N+(v), v in N+(u), is scanned against the marks; the hit's position
+/// in N+(v) is edge vw, and edge uw is a search in the hot N+(u). When N+(v)
+/// dwarfs N+(u) (a mid-id hub), the roles flip: walk N+(u) past v and
+/// search N+(v), so no arc costs more than ~8 min(|N+u|, |N+v|) or
+/// |N+u| log |N+v|. The slots are a pure function of the graph, so the
+/// result is the same at any thread count and chunking.
+void list_closures(const Graph& g, const EdgeIndex& index, const ClosureSlots& slots) {
+  const auto& rs = index.row_start;
+  const std::size_t m = g.num_edges();
+  // Chunks split the arc list, not the vertex range: a hub's upper row can
+  // carry a large share of the work, and a row cut across chunks only costs
+  // one more marking pass. Small graphs (under 4096 arcs) stay one chunk.
+  const std::size_t chunks = std::min<std::size_t>(64, (m + 4095) / 4096);
+  parallel_for(chunks, [&](std::size_t c) {
+    const auto first = static_cast<std::uint32_t>(m * c / chunks);
+    const auto last = static_cast<std::uint32_t>(m * (c + 1) / chunks);
+    std::uint32_t* const bits = kernel::mark_bits(g.n());
+    for (std::uint32_t arc = first; arc < last;) {
+      const Vertex u = g.edge(arc).u;
+      const auto up_u = index.upper_row(u);
+      const std::uint32_t row_end = std::min(last, rs[u + 1]);
+      // The last arc of a row has no w > v left in N+(u).
+      const std::size_t k_end = std::min<std::size_t>(row_end - rs[u], up_u.size() - 1);
+      for (const Vertex w : up_u) set_bit(bits, w);
+      for (std::size_t k = arc - rs[u]; k < k_end; ++k) {
+        if (k + kPrefetchDist < up_u.size()) {
+          const auto ahead = index.upper_row(up_u[k + kPrefetchDist]);
+          prefetch_row(ahead.data(), ahead.size());
+        }
+        const Vertex v = up_u[k];
+        const auto up_v = index.upper_row(v);
+        if (up_v.empty()) continue;
+        const std::uint32_t uv = rs[u] + static_cast<std::uint32_t>(k);
+        const auto emit = [&](std::size_t ku, std::size_t kv) {
+          const std::uint32_t uw = rs[u] + static_cast<std::uint32_t>(ku);
+          const std::uint32_t vw = rs[v] + static_cast<std::uint32_t>(kv);
+          slots.offer(uv, uw, vw);  // closed by w
+          slots.offer(uw, uv, vw);  // closed by v
+          slots.offer(vw, uv, uw);  // closed by u
+        };
+        // Both branches look up ascending w, so each search gallops on from
+        // the previous hit.
+        if (up_v.size() > 8 * up_u.size()) {
+          const Vertex* at = up_v.data();
+          const Vertex* const end = up_v.data() + up_v.size();
+          for (std::size_t ku = k + 1; ku < up_u.size() && at != end; ++ku) {
+            at = kernel::gallop_lower_bound(at, end, up_u[ku]);
+            if (at != end && *at == up_u[ku]) {
+              emit(ku, static_cast<std::size_t>(at - up_v.data()));
+            }
+          }
+          continue;
+        }
+        const Vertex* at = up_u.data() + k + 1;
+        for (std::size_t kv = 0; kv < up_v.size(); ++kv) {
+          const Vertex w = up_v[kv];
+          if (((bits[w >> 5] >> (w & 31)) & 1u) == 0) continue;
+          at = kernel::gallop_lower_bound(at, up_u.data() + up_u.size(), w);
+          emit(static_cast<std::size_t>(at - up_u.data()), kv);
+        }
+      }
+      for (const Vertex w : up_u) clear_bit(bits, w);
+      arc = row_end;
+    }
+  });
+}
 
 /// Candidate filter for the packing search: accept the first common
 /// neighbor w whose closing edges are both unused. Shared by the merge and
@@ -366,8 +475,9 @@ struct PackCtx {
 bool pack_accept(void* p, Vertex w) {
   auto* c = static_cast<PackCtx*>(p);
   const std::size_t uw = c->index->of(c->u, w);
+  if (c->used->test(uw)) return false;
   const std::size_t vw = c->index->of(c->v, w);
-  if (c->used->test(uw) || c->used->test(vw)) return false;
+  if (c->used->test(vw)) return false;
   c->uw = uw;
   c->vw = vw;
   return true;
@@ -377,7 +487,8 @@ bool pack_accept(void* p, Vertex w) {
 
 std::vector<Triangle> greedy_triangle_packing(const Graph& g, Rng& rng) {
   // 32-bit edge indices (the CSR-width guard bounds m) halve the shuffle
-  // footprint; the arena reuses the same blocks across calls.
+  // footprint and let one 8-byte slot hold a closure; the arena reuses the
+  // same blocks across calls.
   kernel::require_csr_offsets_fit(g.num_edges());
   ArenaScope scope;
   const std::size_t m = g.num_edges();
@@ -390,38 +501,56 @@ std::vector<Triangle> greedy_triangle_packing(const Graph& g, Rng& rng) {
   }
 
   const EdgeIndex index(g);
+  const ClosureSlots slots{scope.arena().alloc<std::uint64_t>(m),
+                           scope.arena().alloc<std::uint64_t>((m + 63) / 64)};
+  std::fill(slots.slot.begin(), slots.slot.end(), kNoClosure);
+  std::fill(slots.more.begin(), slots.more.end(), std::uint64_t{0});
+  list_closures(g, index, slots);
+
+  // Phase 2: the greedy pass. Each unused edge takes the first w ascending
+  // whose closing edges are both unused. Its slot is the minimum-w closure,
+  // so when that one is free it is the answer; only an edge whose first
+  // closure is taken and that has another goes back to the row search.
   EdgeBitmap used(m);
   const Ops& ops = kernel::ops();
   const bool bitset = ops.strategy == Variant::kBitset;
   std::uint32_t* const bits = bitset ? kernel::mark_bits(g.n()) : nullptr;
-
-  // The shuffled edge order makes every iteration's row fetches a fresh
-  // DRAM miss; a two-level lookahead (edge struct first, then its rows)
-  // keeps several misses in flight. kScalar runs the pre-PR loop untouched.
-  const bool prefetch = ops.strategy != Variant::kScalar;
   std::vector<Triangle> packing;
   for (std::size_t i = 0; i < m; ++i) {
-    if (prefetch) {
-      if (i + 2 * kPackPrefetchDist < m) {
-        const std::uint32_t pidx = order[i + 2 * kPackPrefetchDist];
-        __builtin_prefetch(&g.edge(pidx), 0, 3);
-        used.prefetch(pidx);
-      }
-      if (i + kPackPrefetchDist < m) {
-        const Edge pe = g.edge(order[i + kPackPrefetchDist]);
-        const auto pnu = g.neighbors(pe.u);
-        const auto pnv = g.neighbors(pe.v);
-        prefetch_row(pnu.data(), pnu.size());
-        prefetch_row(pnv.data(), pnv.size());
-      }
+    // The shuffled order makes every slot and edge read a fresh miss; the
+    // order array itself is sequential, so look a few edges ahead.
+    if (i + kPackPrefetchDist < m) {
+      const std::uint32_t ahead = order[i + kPackPrefetchDist];
+      __builtin_prefetch(&slots.slot[ahead], 0, 3);
+      __builtin_prefetch(&g.edge(ahead), 0, 3);
     }
     const std::uint32_t idx = order[i];
     if (used.test(idx)) continue;
+    const std::uint64_t closure = slots.slot[idx];
+    if (closure == kNoClosure) continue;
     const Edge e = g.edge(idx);
+    const auto low = static_cast<std::uint32_t>(closure >> 32);
+    const auto high = static_cast<std::uint32_t>(closure);
+    const bool first_free = !used.test(low) && !used.test(high);
+    if (!first_free && !slots.has_more(idx)) continue;
+    const Edge first_uw = g.edge(low);
+    const Vertex first_w = first_uw.u ^ first_uw.v ^ e.u;
+    if (first_free) {
+      used.set(idx);
+      used.set(low);
+      used.set(high);
+      packing.emplace_back(e.u, e.v, first_w);
+      continue;
+    }
     // Search for a closing vertex w: common neighbors of u and v in id
-    // order (the same candidate order as scanning N(u) and probing vs v).
-    const auto nu = g.neighbors(e.u);
-    const auto nv = g.neighbors(e.v);
+    // order (the same candidate order as scanning N(u) and probing vs v),
+    // past first_w, which is the smallest one and is taken.
+    const auto past_first = [first_w](std::span<const Vertex> row) {
+      return row.subspan(static_cast<std::size_t>(
+          std::upper_bound(row.begin(), row.end(), first_w) - row.begin()));
+    };
+    const auto nu = past_first(g.neighbors(e.u));
+    const auto nv = past_first(g.neighbors(e.v));
     PackCtx ctx{&index, &used, e.u, e.v};
     Vertex w = 0;
     bool found;

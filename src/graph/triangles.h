@@ -35,6 +35,28 @@ namespace tft {
 /// order. Maximality implies the result is a 1/3-approximation of the
 /// maximum packing; its size is a valid lower bound on the edit distance to
 /// triangle-freeness.
+///
+/// The rule: shuffle the edge indices (Fisher–Yates on `rng`); each edge
+/// {u, v} not yet used takes the smallest w whose edges uw and vw are both
+/// unused. The shuffle is the only use of `rng`, so the packing and the
+/// rng state it leaves are pure functions of (g, rng), the same at any
+/// thread count and kernel variant.
+///
+/// It runs in two phases:
+///   1. Parallel listing. Every triangle u < v < w is listed once, in id
+///      order, over the upper rows N+(u) = {w in N(u) : w > u} (which are
+///      ranges of the sorted edge list), and offers its three closures. Each
+///      edge keeps only the closure with the smallest closing vertex plus a
+///      bit saying another exists. Per arc (u, v) the work is
+///      O(min(|N+(u)|, |N+(v)|)) up to a log factor, because the scan flips
+///      to searching N+(v) when it is more than 8x longer, so the phase is
+///      O(m * sqrt(m) log m) overall (the min-degree bound on
+///      sum over edges of min(deg u, deg v)). Transient memory is about
+///      8 bytes per edge plus one bit, independent of the triangle count.
+///   2. Serial greedy pass in the shuffled order. An edge whose smallest
+///      closure is free takes it in O(1); only an edge whose smallest
+///      closure is taken and that has another one searches its rows for the
+///      next candidate.
 [[nodiscard]] std::vector<Triangle> greedy_triangle_packing(const Graph& g, Rng& rng);
 
 /// Lower bound on the number of edge removals needed to make g

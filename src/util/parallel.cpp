@@ -1,13 +1,17 @@
 #include "util/parallel.h"
 
+#include <map>
 #include <memory>
 
 namespace tft {
 
 namespace {
 
-int g_default_threads = 0;  // 0 = all hardware threads
-std::unique_ptr<ThreadPool> g_pool;
+std::atomic<int> g_default_threads{0};  // 0 = all hardware threads
+// One pool per size ever requested, each kept until exit: a caller that
+// still holds the pool it got before set_default_threads changed the size
+// keeps using it safely, and flipping between sizes reuses the same pools.
+std::map<int, std::unique_ptr<ThreadPool>> g_pools;
 std::mutex g_pool_mutex;
 
 thread_local bool t_in_parallel_region = false;
@@ -26,12 +30,12 @@ int hardware_threads() noexcept {
 }
 
 void set_default_threads(int threads) {
-  std::lock_guard lk(g_pool_mutex);
-  g_default_threads = threads < 0 ? 0 : threads;
+  g_default_threads.store(threads < 0 ? 0 : threads, std::memory_order_relaxed);
 }
 
 int default_threads() noexcept {
-  return g_default_threads > 0 ? g_default_threads : hardware_threads();
+  const int threads = g_default_threads.load(std::memory_order_relaxed);
+  return threads > 0 ? threads : hardware_threads();
 }
 
 bool in_parallel_region() noexcept { return t_in_parallel_region; }
@@ -101,10 +105,11 @@ void ThreadPool::worker_loop(int index) {
 }
 
 ThreadPool& ThreadPool::global() {
+  const int want = default_threads();
   std::lock_guard lk(g_pool_mutex);
-  const int want = g_default_threads > 0 ? g_default_threads : hardware_threads();
-  if (!g_pool || g_pool->size() != want) g_pool = std::make_unique<ThreadPool>(want);
-  return *g_pool;
+  std::unique_ptr<ThreadPool>& pool = g_pools[want];
+  if (!pool) pool = std::make_unique<ThreadPool>(want);
+  return *pool;
 }
 
 }  // namespace tft

@@ -38,7 +38,9 @@ namespace tft {
 
 /// Sets the default worker count for the global pool; 0 (the initial value)
 /// means "all hardware threads". This is what the benches' `--threads` flag
-/// plumbs through. Not safe to call concurrently with running parallel work.
+/// plumbs through. Safe to call while other threads run parallel work: they
+/// finish on the pool they already hold, and later calls pick up the new
+/// size.
 void set_default_threads(int threads);
 
 /// The resolved default worker count (>= 1).
@@ -69,8 +71,9 @@ class ThreadPool {
   /// time, so each caller's job runs on the whole pool.
   void run_on_workers(const std::function<void(int)>& job);
 
-  /// The process-wide pool, sized to `default_threads()`. Rebuilt lazily if
-  /// `set_default_threads` changed the size since the last use.
+  /// The process-wide pool, sized to `default_threads()`. There is one pool
+  /// per size ever requested, created on first use and kept until exit, so
+  /// a reference stays valid after `set_default_threads` changes the size.
   [[nodiscard]] static ThreadPool& global();
 
  private:

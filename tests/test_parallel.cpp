@@ -204,26 +204,87 @@ TEST(Parallel, CountTrianglesMatchesAtEveryThreadCount) {
 }
 
 TEST(Parallel, PackingIsThreadCountInvariant) {
-  // greedy_triangle_packing is serial by design, but it runs on top of the
-  // shared pool configuration; pin down that configuration cannot leak in.
+  // The packing lists its closures in parallel before the serial greedy
+  // pass; the graphs are big enough that the listing spans many chunks, and
+  // the packing must not depend on which worker ran which chunk.
   Rng g_rng(11);
-  const Graph g = gen::planted_triangles(600, 150, g_rng);
-  const auto at = [&](int threads) {
-    return with_threads(threads, [&] {
-      Rng rng(3);
-      return greedy_triangle_packing(g, rng);
-    });
-  };
-  const auto serial = at(1);
-  for (const int threads : {2, 8}) {
-    const auto par = at(threads);
-    ASSERT_EQ(par.size(), serial.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(par[i].a, serial[i].a);
-      EXPECT_EQ(par[i].b, serial[i].b);
-      EXPECT_EQ(par[i].c, serial[i].c);
+  const Graph random = gen::gnp(4000, 0.02, g_rng);
+  const Graph skewed = gen::chung_lu(4000, 30.0, 2.2, g_rng);
+  for (const Graph* g : {&random, &skewed}) {
+    const auto at = [&](int threads) {
+      return with_threads(threads, [&] {
+        Rng rng(3);
+        auto packing = greedy_triangle_packing(*g, rng);
+        return std::make_pair(packing, rng.below(std::uint64_t{1} << 30));
+      });
+    };
+    const auto serial = at(1);
+    ASSERT_FALSE(serial.first.empty());
+    for (const int threads : {2, 8}) {
+      const auto par = at(threads);
+      EXPECT_EQ(par.first, serial.first) << "threads=" << threads;
+      EXPECT_EQ(par.second, serial.second) << "threads=" << threads;
     }
   }
+}
+
+TEST(Parallel, PackingInsideAParallelRegionMatchesTopLevel) {
+  // mu_distribution calls the packing from parallel_for bodies, where the
+  // pool runs the packing's own parallel listing inline on the worker.
+  Rng g_rng(12);
+  const Graph g = gen::gnp(1500, 0.03, g_rng);
+  constexpr std::size_t kCalls = 8;
+  std::vector<std::vector<Triangle>> top(kCalls);
+  for (std::size_t i = 0; i < kCalls; ++i) {
+    Rng rng(100 + i);
+    top[i] = greedy_triangle_packing(g, rng);
+  }
+  const auto nested = with_threads(4, [&] {
+    std::vector<std::vector<Triangle>> out(kCalls);
+    parallel_for(
+        kCalls,
+        [&](std::size_t i) {
+          Rng rng(100 + i);
+          out[i] = greedy_triangle_packing(g, rng);
+        },
+        1);
+    return out;
+  });
+  for (std::size_t i = 0; i < kCalls; ++i) EXPECT_EQ(nested[i], top[i]) << "call " << i;
+}
+
+TEST(Parallel, ResizingTheGlobalPoolWhileItRunsIsSafe) {
+  // Two threads run parallel work while one of them keeps flipping the
+  // default size between its calls, so each one asks for the global pool
+  // while the other may still be running on the previous one. A caller
+  // must be able to finish on the pool it already holds.
+  constexpr std::size_t n = 4096;
+  const auto run_checked = [&] {
+    std::vector<std::uint32_t> hit(n, 0);
+    parallel_for(n, [&](std::size_t i) { hit[i] += 1; });
+    EXPECT_EQ(std::accumulate(hit.begin(), hit.end(), std::uint64_t{0}), n);
+    const std::uint64_t sum = parallel_reduce(
+        n, std::uint64_t{0},
+        [](std::size_t b, std::size_t e) {
+          std::uint64_t s = 0;
+          for (std::size_t i = b; i < e; ++i) s += i;
+          return s;
+        },
+        [](std::uint64_t a, std::uint64_t b) { return a + b; });
+    EXPECT_EQ(sum, std::uint64_t{n} * (n - 1) / 2);
+  };
+  const int prev = default_threads();
+  std::atomic<bool> done{false};
+  std::thread flipper([&] {
+    for (int i = 0; !done.load(std::memory_order_relaxed); ++i) {
+      set_default_threads(i % 2 == 0 ? 2 : 4);
+      run_checked();
+    }
+  });
+  for (int round = 0; round < 400; ++round) run_checked();
+  done.store(true, std::memory_order_relaxed);
+  flipper.join();
+  set_default_threads(prev);
 }
 
 TEST(Parallel, ZeroAndTinySizes) {

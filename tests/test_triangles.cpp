@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <unordered_set>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -86,6 +89,81 @@ TEST(GreedyPacking, FindsAllPlantedDisjointTriangles) {
   Rng rng(31);
   const Graph g = gen::planted_triangles(600, 50, rng);
   EXPECT_EQ(greedy_triangle_packing(g, rng).size(), 50u);
+}
+
+/// Wheel whose hub sits at the middle id: every rim vertex below the hub
+/// has a two-element upper row against the hub's half-graph upper row, so
+/// the triangle listing takes its skew guard there.
+Graph mid_hub_wheel(Vertex rim) {
+  const Vertex hub = rim / 2;
+  std::vector<Edge> edges;
+  const auto id = [hub](Vertex r) { return r < hub ? r : r + 1; };
+  for (Vertex r = 0; r < rim; ++r) {
+    edges.emplace_back(hub, id(r));
+    edges.emplace_back(id(r), id((r + 1) % rim));
+  }
+  return Graph(rim + 1, std::move(edges));
+}
+
+/// FNV-1a over the packing's triangles in emission order.
+std::uint64_t packing_hash(const std::vector<Triangle>& packing) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const Triangle& t : packing) {
+    for (const Vertex x : {t.a, t.b, t.c}) {
+      h = (h ^ x) * 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct PackingPin {
+  const char* name;
+  std::function<Graph(Rng&)> make;
+  std::size_t size;
+  std::uint64_t hash;
+  std::uint64_t next_draw;  // rng.below(2^30) right after the packing
+};
+
+TEST(GreedyPacking, MatchesPinnedPackingsOnTheZoo) {
+  // Packing, size and the RNG state it leaves behind, pinned from the
+  // one-pass serial greedy loop. Any reordering of the candidate search or
+  // of the shuffle's draws shows up here.
+  const std::vector<PackingPin> pins = {
+      {"gnp_400_sqrt", [](Rng& r) { return gen::gnp(400, 0.05, r); },
+       568, 14132538780763477746ULL, 984755598},
+      {"gnp_2500_sqrt", [](Rng& r) { return gen::gnp(2500, 0.02, r); },
+       9070, 16196517299810419017ULL, 888199297},
+      {"hub_matching_500_3", [](Rng& r) { return gen::hub_matching(500, 3, r); },
+       616, 15846939553477595299ULL, 1035533199},
+      {"hub_matching_2000_8", [](Rng& r) { return gen::hub_matching(2000, 8, r); },
+       6884, 4824273844306073494ULL, 124551287},
+      {"chung_lu_2000_b2.1", [](Rng& r) { return gen::chung_lu(2000, 20.0, 2.1, r); },
+       2795, 7206615384028681852ULL, 817698042},
+      {"chung_lu_3000_b2.2", [](Rng& r) { return gen::chung_lu(3000, 30.0, 2.2, r); },
+       7085, 2699339797696035625ULL, 703652194},
+      {"dense_gnp_600_0.5", [](Rng& r) { return gen::gnp(600, 0.5, r); },
+       29056, 6973114996126337131ULL, 613369791},
+      {"mid_hub_wheel_401", [](Rng&) { return mid_hub_wheel(400); },
+       177, 2071973853640456705ULL, 210255748},
+      {"planted_900_120", [](Rng& r) { return gen::planted_triangles(900, 120, r); },
+       120, 1005932078021626431ULL, 846973333},
+      {"barabasi_albert_1500_6", [](Rng& r) { return gen::barabasi_albert(1500, 6, r); },
+       605, 14752951246729493160ULL, 674732871},
+      {"empty", [](Rng&) { return Graph(); },
+       0, 14695981039346656037ULL, 520216822},
+      {"single_triangle", [](Rng&) { return Graph(3, {{0, 1}, {1, 2}, {0, 2}}); },
+       1, 15657232601398921512ULL, 662544595},
+  };
+  std::uint64_t seed = 101;
+  for (const PackingPin& pin : pins) {
+    Rng graph_rng(seed++);
+    const Graph g = pin.make(graph_rng);
+    Rng rng(seed++);
+    const auto packing = greedy_triangle_packing(g, rng);
+    EXPECT_EQ(packing.size(), pin.size) << pin.name;
+    EXPECT_EQ(packing_hash(packing), pin.hash) << pin.name;
+    EXPECT_EQ(rng.below(std::uint64_t{1} << 30), pin.next_draw) << pin.name;
+  }
 }
 
 TEST(DistanceLowerBound, ZeroOnTriangleFree) {
