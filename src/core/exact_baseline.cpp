@@ -16,7 +16,10 @@ ExactResult exact_find_triangle(std::span<const PlayerInput> players) {
   return run_checked(CommModel::kSimultaneous, players.size(), players.front().n(),
                      [&](Channel t) {
                        ExactResult r;
+                       std::size_t total_edges = 0;
+                       for (const auto& p : players) total_edges += p.local.num_edges();
                        std::vector<Edge> all;
+                       all.reserve(total_edges);
                        for (const auto& p : players) {
                          const auto m = p.local.num_edges();
                          const std::uint64_t bits = count_bits(m) + m * edge_bits(p.n());

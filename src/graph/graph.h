@@ -10,8 +10,9 @@
 ///
 /// The paper's general property-testing model (Section 2): simple undirected
 /// graphs on n vertices, no degree bound, distance measured in edges relative
-/// to |E|. `Graph` normalizes, deduplicates and sorts its edge list at
-/// construction and provides O(log deg) membership queries.
+/// to |E|. `Graph` deduplicates and orders its edge list at construction
+/// (linear passes; see the constructor) and provides O(log deg) membership
+/// queries.
 
 namespace tft {
 
@@ -63,9 +64,18 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Builds a graph on vertex set {0, ..., n-1}. Edges are normalized,
-  /// deduplicated and self-loops dropped. Throws std::invalid_argument on an
-  /// endpoint >= n.
+  /// Builds a graph on vertex set {0, ..., n-1}. Self-loops are dropped,
+  /// then any endpoint >= n throws std::invalid_argument (a duplicated bad
+  /// edge too); the rest is deduplicated into (u, v) order. No comparison
+  /// sort runs over the whole list:
+  ///   * a strictly increasing input (gnp / bipartite_gnp output, partition
+  ///     slices, deduplicated messages) builds in O(n + m);
+  ///   * any other input is counting-sorted by u into its upper rows N+(u),
+  ///     each row sorted and deduplicated on its own:
+  ///     O(n + m + sum_u d+(u) log d+(u)) time and ~4 bytes per edge of
+  ///     transient thread-arena scratch.
+  /// The output, memory_bytes() included, is the same either way: edges_
+  /// keeps the moved-in vector (and its capacity).
   Graph(Vertex n, std::vector<Edge> edges);
 
   [[nodiscard]] Vertex n() const noexcept { return n_; }

@@ -123,6 +123,16 @@ ServiceDaemon::~ServiceDaemon() { shutdown(); }
 void ServiceDaemon::shutdown() {
   if (stopped_) return;
   stopped_ = true;
+  {
+    // Wake every handler still blocked in read_blob for its spec: its read
+    // fails at once with a typed kClosed. A client that connects and sends
+    // nothing would otherwise hold the drain (the acceptor joins every
+    // handler) forever. Connections accepted from here on are woken as they
+    // are recorded.
+    const std::lock_guard lock(awaiting_mu_);
+    draining_ = true;
+    for (const int fd : awaiting_spec_) (void)::shutdown(fd, SHUT_RD);
+  }
   // Waking the acceptor: shutdown() fails accept(2) with EINVAL on Linux,
   // and the loop's stop check does the rest.
   (void)::shutdown(listen_fd_, SHUT_RDWR);
@@ -158,9 +168,15 @@ void ServiceDaemon::accept_loop() {
     }
     const int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    {
+      const std::lock_guard lock(awaiting_mu_);
+      awaiting_spec_.push_back(fd);
+      if (draining_) (void)::shutdown(fd, SHUT_RD);
+    }
     Handler& h = handlers.emplace_back();
     h.thread = std::thread([this, fd, &h] {
       serve_connection(fd);
+      spec_received(fd);  // before close: shutdown() must never see a reused fd
       (void)::close(fd);
       h.done.store(true, std::memory_order_release);
     });
@@ -172,6 +188,7 @@ void ServiceDaemon::serve_connection(int fd) {
   ServiceReply reply;
   try {
     const std::vector<std::uint8_t> blob = read_blob(fd);
+    spec_received(fd);
     const SessionSpec spec = decode_spec(blob);
     std::future<SessionOutcome> future;
     try {
@@ -200,6 +217,11 @@ void ServiceDaemon::serve_connection(int fd) {
     } catch (...) {
     }
   }
+}
+
+void ServiceDaemon::spec_received(int fd) {
+  const std::lock_guard lock(awaiting_mu_);
+  std::erase(awaiting_spec_, fd);
 }
 
 ServiceReply request(std::uint16_t port, const SessionSpec& spec) {

@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "service/coordinator.h"
 #include "service/spec.h"
@@ -36,17 +38,25 @@ class ServiceDaemon {
   [[nodiscard]] ServiceCoordinator& coordinator() noexcept { return *coordinator_; }
 
   /// Stop accepting connections and drain in-flight sessions. Idempotent.
+  /// A connection still waiting for its spec is woken and closed with a
+  /// typed kClosed (a silent client cannot hold the drain); a connection
+  /// whose spec arrived is served to its reply.
   void shutdown();
 
  private:
   void accept_loop();
   void serve_connection(int fd);
+  /// Drop `fd` from the connections awaiting a spec (idempotent).
+  void spec_received(int fd);
 
   std::unique_ptr<ServiceCoordinator> coordinator_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  std::thread acceptor_;
   bool stopped_ = false;
+  std::mutex awaiting_mu_;
+  std::vector<int> awaiting_spec_;  // fds whose handler is still in read_blob
+  bool draining_ = false;           // guarded by awaiting_mu_
+  std::thread acceptor_;            // last: it uses every member above
 };
 
 /// Client half: connect to 127.0.0.1:`port`, send `spec`, wait for the

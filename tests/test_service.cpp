@@ -2,7 +2,11 @@
 // scheduling and admission control, graceful drain, and the TCP daemon.
 // Plus the transport-name registry the service surfaces through its CLIs.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -310,6 +314,42 @@ TEST(ServiceDaemonTest, ServesSpecsOverLoopbackTcp) {
   // Shutdown is idempotent and the port stops answering.
   daemon.shutdown();
   EXPECT_THROW((void)request(daemon.port(), small_spec(13)), NetError);
+}
+
+/// A client that connects and never sends its spec must not hold the
+/// daemon's drain: shutdown() wakes the handler blocked reading the spec.
+TEST(ServiceDaemonTest, IdleClientDoesNotBlockShutdown) {
+  if (!net::LoopbackSocketTransport::available()) {
+    GTEST_SKIP() << "no loopback networking in this environment";
+  }
+  ServiceDaemon daemon(inproc_config(/*live=*/2, /*pending=*/8));
+
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(daemon.port());
+  ASSERT_EQ(::connect(idle, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+
+  // A well-formed client is served while the idle one sits there.
+  const ServiceReply served = request(daemon.port(), small_spec(21));
+
+  auto drained = std::async(std::launch::async, [&] { daemon.shutdown(); });
+  const bool prompt = drained.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  // On failure, hang up the idle client so the drain can finish and the
+  // test reports instead of blocking.
+  if (!prompt) (void)::shutdown(idle, SHUT_RDWR);
+  drained.get();
+  (void)::close(idle);
+  EXPECT_TRUE(prompt) << "shutdown() waited on a client that never sent a spec";
+
+  EXPECT_NE(served.status, ReplyStatus::kError) << served.error;
+  EXPECT_NE(served.status, ReplyStatus::kBusy);
+  EXPECT_TRUE(served.accounting_exact);
+  EXPECT_TRUE(served.conformance_ok);
+  EXPECT_GT(served.charged_bits, 0u);
+  EXPECT_EQ(daemon.coordinator().sessions_completed(), 1u);
 }
 
 /// VmSize of this process in KiB (/proc/self/status); 0 if unavailable.
