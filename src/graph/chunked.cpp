@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "graph/pair_sampling.h"
@@ -62,6 +63,12 @@ std::uint64_t blocks_for(std::uint64_t total, double edges_per_index) {
   return std::min(total, std::max<std::uint64_t>(1, want));
 }
 
+/// Sampler scratch for one micro-block, which keeps ~kTargetEdgesPerBlock
+/// edges.
+std::span<std::uint64_t> block_scratch(Arena& arena) {
+  return skip_scratch(arena, static_cast<double>(kTargetEdgesPerBlock));
+}
+
 /// The Rng for micro-block `block` of a (spec, seed) build.
 Rng block_rng(const ChunkedSpec& spec, std::uint64_t seed, std::uint64_t block) {
   return Rng(mix_hash(spec.signature(), seed, block));
@@ -71,44 +78,46 @@ Rng block_rng(const ChunkedSpec& spec, std::uint64_t seed, std::uint64_t block) 
 
 template <typename Sink>
 void emit_gnp_block(const ChunkedSpec& spec, std::uint64_t seed, std::uint64_t b,
-                    std::uint64_t blocks, Sink&& sink) {
+                    std::uint64_t blocks, std::span<std::uint64_t> scratch, Sink&& sink) {
   const IndexRange r = split_range(pair_count(spec.n), blocks, b);
   Rng rng = block_rng(spec, seed, b);
-  skip_sample_range(r.lo, r.hi, spec.param, rng, [&](std::uint64_t idx) {
-    const auto [u, v] = unrank_pair(idx, spec.n);
-    sink(Edge{u, v});
-  });
+  skip_sample_range(r.lo, r.hi, spec.param, rng, scratch,
+                    [&](IndexBatch batch) { unrank_increasing(batch, spec.n, sink); });
 }
 
 template <typename Sink>
 void emit_bipartite_block(const ChunkedSpec& spec, std::uint64_t seed, std::uint64_t b,
-                          std::uint64_t blocks, Sink&& sink) {
+                          std::uint64_t blocks, std::span<std::uint64_t> scratch, Sink&& sink) {
   const std::uint64_t a = spec.n / 2;
   const std::uint64_t cols = spec.n - a;
   const IndexRange r = split_range(a * cols, blocks, b);
   Rng rng = block_rng(spec, seed, b);
-  skip_sample_range(r.lo, r.hi, spec.param, rng, [&](std::uint64_t idx) {
-    sink(Edge{static_cast<Vertex>(idx / cols), static_cast<Vertex>(a + idx % cols)});
+  skip_sample_range(r.lo, r.hi, spec.param, rng, scratch, [&](IndexBatch batch) {
+    for (const std::uint64_t idx : batch) {
+      sink(Edge{static_cast<Vertex>(idx / cols), static_cast<Vertex>(a + idx % cols)});
+    }
   });
 }
 
 template <typename Sink>
 void emit_mu_block(const ChunkedSpec& spec, std::uint64_t seed, std::uint64_t b,
-                   std::uint64_t blocks, Sink&& sink) {
+                   std::uint64_t blocks, std::span<std::uint64_t> scratch, Sink&& sink) {
   const std::uint64_t side = spec.mu_side();
   const std::uint64_t b1 = blocks / 3;
   const std::uint64_t space = b / b1;  // 0: U x V1, 1: U x V2, 2: V1 x V2
   const IndexRange r = split_range(side * side, b1, b % b1);
   const double p = spec.param / std::sqrt(static_cast<double>(side));
   Rng rng = block_rng(spec, seed, b);
-  skip_sample_range(r.lo, r.hi, p, rng, [&](std::uint64_t idx) {
-    const auto row = static_cast<Vertex>(idx / side);
-    const auto col = static_cast<Vertex>(idx % side);
-    const auto s = static_cast<Vertex>(side);
-    switch (space) {
-      case 0: sink(Edge{row, static_cast<Vertex>(s + col)}); break;
-      case 1: sink(Edge{row, static_cast<Vertex>(2 * s + col)}); break;
-      default: sink(Edge{static_cast<Vertex>(s + row), static_cast<Vertex>(2 * s + col)});
+  skip_sample_range(r.lo, r.hi, p, rng, scratch, [&](IndexBatch batch) {
+    for (const std::uint64_t idx : batch) {
+      const auto row = static_cast<Vertex>(idx / side);
+      const auto col = static_cast<Vertex>(idx % side);
+      const auto s = static_cast<Vertex>(side);
+      switch (space) {
+        case 0: sink(Edge{row, static_cast<Vertex>(s + col)}); break;
+        case 1: sink(Edge{row, static_cast<Vertex>(2 * s + col)}); break;
+        default: sink(Edge{static_cast<Vertex>(s + row), static_cast<Vertex>(2 * s + col)});
+      }
     }
   });
 }
@@ -172,39 +181,44 @@ void emit_bm_block(const ChunkedSpec& spec, std::uint64_t seed, std::uint64_t b,
 
 template <typename Sink>
 void emit_embed_block(const ChunkedSpec& spec, std::uint64_t seed, std::uint64_t b,
-                      std::uint64_t blocks, Sink&& sink) {
+                      std::uint64_t blocks, std::span<std::uint64_t> scratch, Sink&& sink) {
   const std::uint64_t core_n = spec.embed_core_n();
   const double p_core = std::bit_cast<double>(spec.aux);
   const IndexRange r = split_range(pair_count(core_n), blocks, b);
   Rng rng = block_rng(spec, seed, b);
-  skip_sample_range(r.lo, r.hi, p_core, rng, [&](std::uint64_t idx) {
-    const auto [u, v] = unrank_pair(idx, core_n);
-    sink(Edge{u, v});  // vertices [core_n, n) stay isolated
-  });
+  // Vertices [core_n, n) stay isolated.
+  skip_sample_range(r.lo, r.hi, p_core, rng, scratch,
+                    [&](IndexBatch batch) { unrank_increasing(batch, core_n, sink); });
 }
 
 template <typename Sink>
 void visit_block(const ChunkedSpec& spec, std::uint64_t seed, std::uint64_t b,
-                 std::uint64_t blocks, Sink&& sink) {
+                 std::uint64_t blocks, std::span<std::uint64_t> scratch, Sink&& sink) {
   switch (spec.family) {
-    case ChunkedFamily::kGnp: emit_gnp_block(spec, seed, b, blocks, sink); break;
-    case ChunkedFamily::kBipartiteGnp: emit_bipartite_block(spec, seed, b, blocks, sink); break;
-    case ChunkedFamily::kTripartiteMu: emit_mu_block(spec, seed, b, blocks, sink); break;
+    case ChunkedFamily::kGnp: emit_gnp_block(spec, seed, b, blocks, scratch, sink); break;
+    case ChunkedFamily::kBipartiteGnp:
+      emit_bipartite_block(spec, seed, b, blocks, scratch, sink);
+      break;
+    case ChunkedFamily::kTripartiteMu: emit_mu_block(spec, seed, b, blocks, scratch, sink); break;
     case ChunkedFamily::kHubMatching: emit_hub_block(spec, seed, b, blocks, sink); break;
     case ChunkedFamily::kBmReduction: emit_bm_block(spec, seed, b, blocks, sink); break;
-    case ChunkedFamily::kEmbedGnpCore: emit_embed_block(spec, seed, b, blocks, sink); break;
+    case ChunkedFamily::kEmbedGnpCore:
+      emit_embed_block(spec, seed, b, blocks, scratch, sink);
+      break;
   }
 }
 
+/// Feeds every edge of one chunk to sink. `scratch` (block_scratch) serves
+/// every block's sampler.
 template <typename Sink>
 void visit_chunk(const ChunkedSpec& spec, std::uint64_t seed, std::uint64_t chunk_id,
-                 std::uint64_t num_chunks, Sink&& sink) {
+                 std::uint64_t num_chunks, std::span<std::uint64_t> scratch, Sink&& sink) {
   validate(spec);
   if (num_chunks == 0) throw std::invalid_argument("visit_chunk: num_chunks must be >= 1");
   if (chunk_id >= num_chunks) throw std::invalid_argument("visit_chunk: chunk_id out of range");
   const std::uint64_t blocks = chunk_block_count(spec);
   const IndexRange br = split_range(blocks, num_chunks, chunk_id);
-  for (std::uint64_t b = br.lo; b < br.hi; ++b) visit_block(spec, seed, b, blocks, sink);
+  for (std::uint64_t b = br.lo; b < br.hi; ++b) visit_block(spec, seed, b, blocks, scratch, sink);
 }
 
 }  // namespace
@@ -307,15 +321,19 @@ std::vector<Edge> generate_chunk(const ChunkedSpec& spec, std::uint64_t seed,
   // vector is allocated once at its exact final size (players hold O(m/k)
   // slices for a long time — slack capacity would be charged forever).
   ArenaScope scope;
+  const std::span<std::uint64_t> scratch = block_scratch(scope.arena());
   ArenaBuf<Edge> edges(scope.arena());
-  visit_chunk(spec, seed, chunk_id, num_chunks, [&](const Edge& e) { edges.push_back(e); });
+  visit_chunk(spec, seed, chunk_id, num_chunks, scratch,
+              [&](const Edge& e) { edges.push_back(e); });
   return edges.take();
 }
 
 std::uint64_t count_chunk_edges(const ChunkedSpec& spec, std::uint64_t seed,
                                 std::uint64_t chunk_id, std::uint64_t num_chunks) {
+  ArenaScope scope;
   std::uint64_t count = 0;
-  visit_chunk(spec, seed, chunk_id, num_chunks, [&](const Edge&) { ++count; });
+  visit_chunk(spec, seed, chunk_id, num_chunks, block_scratch(scope.arena()),
+              [&](const Edge&) { ++count; });
   return count;
 }
 
@@ -336,8 +354,10 @@ std::uint64_t ChunkedView::count_edges() const {
 Graph ChunkedView::build_union() const {
   std::vector<Edge> edges;
   edges.reserve(static_cast<std::size_t>(count_edges()));
+  ArenaScope scope;
+  const std::span<std::uint64_t> scratch = block_scratch(scope.arena());
   for (std::uint64_t c = 0; c < chunks_; ++c) {
-    visit_chunk(spec_, seed_, c, chunks_, [&](const Edge& e) { edges.push_back(e); });
+    visit_chunk(spec_, seed_, c, chunks_, scratch, [&](const Edge& e) { edges.push_back(e); });
   }
   return Graph(n(), std::move(edges));
 }
@@ -371,9 +391,11 @@ std::uint64_t edge_multiset_hash(std::span<const Edge> edges) noexcept {
 
 std::uint64_t chunked_union_hash(const ChunkedSpec& spec, std::uint64_t seed,
                                  std::uint64_t num_chunks) {
+  ArenaScope scope;
+  const std::span<std::uint64_t> scratch = block_scratch(scope.arena());
   std::uint64_t h = 0;
   for (std::uint64_t c = 0; c < num_chunks; ++c) {
-    visit_chunk(spec, seed, c, num_chunks,
+    visit_chunk(spec, seed, c, num_chunks, scratch,
                 [&](const Edge& e) { h += fmix64(e.key() ^ kMultisetSalt); });
   }
   return h;

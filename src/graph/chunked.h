@@ -131,6 +131,9 @@ class SharedPermutation {
 /// Expected edges per micro-block the block layout targets. Blocks are the
 /// unit of RNG keying *and* the finest chunk granularity: num_chunks beyond
 /// the block count degrades gracefully (trailing chunks come out empty).
+/// A block's skip-sampler scratch holds about this many draws, so its
+/// batches stay below the pool's parallel grain (kMinChunkWork,
+/// util/parallel.h) and every block is sampled inline on the calling thread.
 inline constexpr std::uint64_t kTargetEdgesPerBlock = 8192;
 
 /// Number of micro-blocks B for this spec — a pure function of the spec

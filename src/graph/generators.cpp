@@ -5,10 +5,13 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "graph/pair_sampling.h"
 #include "util/arena.h"
+#include "util/parallel.h"
 
 namespace tft::gen {
 
@@ -26,6 +29,27 @@ std::span<Vertex> arena_iota(Arena& arena, std::size_t count, Vertex first) {
   return vs;
 }
 
+/// Expected kept indices of a range of `total` sampled at p.
+double expected_kept(std::uint64_t total, double p) {
+  return static_cast<double>(total) * std::clamp(p, 0.0, 1.0);
+}
+
+/// Appends one edge per index of a sampled batch: map(piece, out) fills
+/// out[i] from piece[i]. Pieces of kMinChunkWork indices run in parallel.
+template <typename Map>
+void append_mapped(ArenaBuf<Edge>& edges, IndexBatch batch, Map&& map) {
+  const std::span<Edge> out = edges.extend(batch.size());
+  const std::size_t pieces = (batch.size() + kMinChunkWork - 1) / kMinChunkWork;
+  parallel_for(
+      pieces,
+      [&](std::size_t c) {
+        const std::size_t lo = c * kMinChunkWork;
+        const std::size_t len = std::min(kMinChunkWork, batch.size() - lo);
+        map(batch.subspan(lo, len), out.subspan(lo, len));
+      },
+      1);
+}
+
 }  // namespace
 
 Graph gnp(Vertex n, double p, Rng& rng) {
@@ -33,13 +57,16 @@ Graph gnp(Vertex n, double p, Rng& rng) {
   // unpredictable-size edge list reuses warm blocks across calls, and the
   // vector handed to Graph is allocated once at its exact final size.
   ArenaScope scope;
-  ArenaBuf<Edge> edges(scope.arena());
   // pair_count keeps the n*(n-1)/2 arithmetic in 64 bits: past n = 2^16 the
   // pair space no longer fits 32 bits, past n ~ 92682 it exceeds 2^32.
   const std::uint64_t total = pair_count(n);
-  skip_sample(total, p, rng, [&](std::uint64_t idx) {
-    const auto [u, v] = unrank_pair(idx, n);
-    edges.emplace_back(u, v);
+  const std::span<std::uint64_t> scratch = skip_scratch(scope.arena(), expected_kept(total, p));
+  ArenaBuf<Edge> edges(scope.arena());
+  skip_sample_range(0, total, p, rng, scratch, [&](IndexBatch batch) {
+    append_mapped(edges, batch, [n](IndexBatch piece, std::span<Edge> out) {
+      Edge* next = out.data();
+      unrank_increasing(piece, n, [&](Edge e) { *next++ = e; });
+    });
   });
   return Graph(n, edges.take());
 }
@@ -47,12 +74,16 @@ Graph gnp(Vertex n, double p, Rng& rng) {
 Graph bipartite_gnp(Vertex n, double p, Rng& rng) {
   const Vertex a = n / 2;
   const Vertex b = n - a;
+  const std::uint64_t total = static_cast<std::uint64_t>(a) * b;
   ArenaScope scope;
+  const std::span<std::uint64_t> scratch = skip_scratch(scope.arena(), expected_kept(total, p));
   ArenaBuf<Edge> edges(scope.arena());
-  skip_sample(static_cast<std::uint64_t>(a) * b, p, rng, [&](std::uint64_t idx) {
-    const auto u = static_cast<Vertex>(idx / b);
-    const auto v = static_cast<Vertex>(a + idx % b);
-    edges.emplace_back(u, v);
+  skip_sample_range(0, total, p, rng, scratch, [&](IndexBatch batch) {
+    append_mapped(edges, batch, [a, b](IndexBatch piece, std::span<Edge> out) {
+      for (std::size_t i = 0; i < piece.size(); ++i) {
+        out[i] = Edge(static_cast<Vertex>(piece[i] / b), static_cast<Vertex>(a + piece[i] % b));
+      }
+    });
   });
   return Graph(n, edges.take());
 }
@@ -241,23 +272,22 @@ Graph tripartite_mu(Vertex side, double gamma, Rng& rng) {
   assert(static_cast<std::uint64_t>(side) * 3 <= std::numeric_limits<Vertex>::max());
   const double p = gamma / std::sqrt(static_cast<double>(side));
   const Vertex n = 3 * side;
-  ArenaScope scope;
-  ArenaBuf<Edge> edges(scope.arena());
   const std::uint64_t block = static_cast<std::uint64_t>(side) * side;
-  // U x V1
-  skip_sample(block, p, rng, [&](std::uint64_t idx) {
-    edges.emplace_back(static_cast<Vertex>(idx / side), static_cast<Vertex>(side + idx % side));
-  });
-  // U x V2
-  skip_sample(block, p, rng, [&](std::uint64_t idx) {
-    edges.emplace_back(static_cast<Vertex>(idx / side),
-                       static_cast<Vertex>(2 * side + idx % side));
-  });
-  // V1 x V2
-  skip_sample(block, p, rng, [&](std::uint64_t idx) {
-    edges.emplace_back(static_cast<Vertex>(side + idx / side),
-                       static_cast<Vertex>(2 * side + idx % side));
-  });
+  ArenaScope scope;
+  const std::span<std::uint64_t> scratch = skip_scratch(scope.arena(), expected_kept(block, p));
+  ArenaBuf<Edge> edges(scope.arena());
+  // The three cross spaces U x V1, U x V2, V1 x V2, in that order.
+  using Space = std::pair<Vertex, Vertex>;  // (row offset, column offset)
+  for (const auto& [row0, col0] : {Space{0, side}, Space{0, 2 * side}, Space{side, 2 * side}}) {
+    skip_sample_range(0, block, p, rng, scratch, [&](IndexBatch batch) {
+      append_mapped(edges, batch, [side, row0, col0](IndexBatch piece, std::span<Edge> out) {
+        for (std::size_t i = 0; i < piece.size(); ++i) {
+          out[i] = Edge(static_cast<Vertex>(row0 + piece[i] / side),
+                        static_cast<Vertex>(col0 + piece[i] % side));
+        }
+      });
+    });
+  }
   return Graph(n, edges.take());
 }
 

@@ -22,6 +22,15 @@
 ///     c5_blowup (dense triangle-free), random_matching
 ///
 /// All generators are deterministic functions of their Rng.
+///
+/// gnp, bipartite_gnp and tripartite_mu sample through skip_sample_range
+/// (graph/pair_sampling.h): they take exactly the Rng draws of a serial
+/// one-gap-per-draw loop and return the same edges, the same Graph
+/// (memory_bytes() included) and leave the Rng in the same state at any
+/// thread count. Only the work is batched: above kMinChunkWork draws
+/// (util/parallel.h) a batch's gaps and its unranking run on the pool, and
+/// each call holds at most kSkipBatch words (2 MiB) of thread-arena scratch
+/// besides its edge staging. Smaller instances run inline on the caller.
 
 namespace tft::gen {
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -44,7 +45,10 @@ struct PartitionOptions {
   double heavy_fraction = 0.0;
 };
 
-/// Split g's edges among k players.
+/// Split g's edges among k players. The owner and duplicate draws run
+/// serially over g's edges, in edge order; the k player graphs are then
+/// built in parallel (above kMinChunkWork edges), so the slices, their
+/// capacities and the draws are the same at any thread count.
 [[nodiscard]] std::vector<PlayerInput> partition_edges(const Graph& g, std::size_t k,
                                                        const PartitionOptions& opts, Rng& rng);
 
@@ -62,9 +66,13 @@ struct PartitionOptions {
 [[nodiscard]] std::vector<PlayerInput> players_from_slices(
     Vertex n, std::vector<std::vector<Edge>> slices);
 
-/// Reassemble the union graph from the players' inputs (ground truth for
-/// verification; protocols never call this).
-[[nodiscard]] Graph union_graph(const std::vector<PlayerInput>& players);
+/// Reassemble the union graph from the players' inputs: the exact
+/// referee's view (core/exact_baseline.h) and ground truth for tests. The
+/// players' sorted edge lists are cut at fixed row bounds and each row range
+/// is merged on its own, in parallel above kMinChunkWork edges, into one
+/// non-decreasing list; Graph's sorted path drops the duplicates that
+/// overlapping (duplicated) inputs leave. O(m log k) merge work, no sort.
+[[nodiscard]] Graph union_graph(std::span<const PlayerInput> players);
 
 /// True iff no edge appears in more than one player's input.
 [[nodiscard]] bool is_duplication_free(const std::vector<PlayerInput>& players);

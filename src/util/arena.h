@@ -152,6 +152,15 @@ class ArenaBuf {
     push_back(T(std::forward<Args>(args)...));
   }
 
+  /// Append `count` uninitialized elements and return them, for a caller
+  /// that fills a whole batch at once (possibly from several threads).
+  [[nodiscard]] std::span<T> extend(std::size_t count) {
+    if (size_ + count > capacity_) grow(std::max(capacity_ * 2, size_ + count));
+    const std::span<T> tail(data_ + size_, count);
+    size_ += count;
+    return tail;
+  }
+
   /// Forget the contents, keep the storage (reuse across loop iterations).
   void clear() noexcept { size_ = 0; }
 

@@ -123,6 +123,19 @@ void for_chunks(std::size_t num_chunks, Body&& body) {
 
 }  // namespace detail
 
+/// Work units (sampled draws, edges) a chunk should carry at least. A job
+/// below it runs as one chunk, inline on the calling thread, and never takes
+/// the pool's submit mutex; a constant, so chunk boundaries stay independent
+/// of the thread count.
+inline constexpr std::size_t kMinChunkWork = std::size_t{1} << 15;
+
+/// Grain for n items that together carry `work` units, so that each chunk
+/// carries at least kMinChunkWork of them.
+[[nodiscard]] constexpr std::size_t grain_for_work(std::size_t n, std::size_t work) noexcept {
+  if (work <= kMinChunkWork) return n > 0 ? n : 1;
+  return (n * kMinChunkWork + work - 1) / work;
+}
+
 /// Invokes fn(i) for every i in [0, n), fanned across the global pool.
 /// fn must be safe to call concurrently for distinct i.
 template <typename Fn>

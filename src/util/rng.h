@@ -79,8 +79,12 @@ class Rng {
   [[nodiscard]] std::uint64_t below(std::uint64_t bound) noexcept;
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  [[nodiscard]] double uniform() noexcept { return to_uniform((*this)()); }
+
+  /// The double uniform() makes of one raw draw, for callers that draw
+  /// first and convert later (graph/pair_sampling.h).
+  [[nodiscard]] static constexpr double to_uniform(result_type bits) noexcept {
+    return static_cast<double>(bits >> 11) * 0x1.0p-53;
   }
 
   /// Bernoulli coin with success probability p (clamped to [0,1]).

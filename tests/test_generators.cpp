@@ -259,7 +259,10 @@ TEST(PairSampling, SkipSampleRangeSplitsCleanly) {
   for (const auto& [lo, hi] : std::vector<std::pair<std::uint64_t, std::uint64_t>>{
            {0, 4000}, {4000, 9000}, {9000, 10000}}) {
     Rng rng = derive_rng(99, lo);
-    skip_sample_range(lo, hi, p, rng, [&](std::uint64_t i) { split.push_back(i); });
+    std::vector<std::uint64_t> scratch(kSkipBatch);
+    skip_sample_range(lo, hi, p, rng, scratch, [&](IndexBatch batch) {
+      split.insert(split.end(), batch.begin(), batch.end());
+    });
     for (std::size_t j = 1; j < split.size(); ++j) ASSERT_LT(split[j - 1], split[j]);
   }
   for (const std::uint64_t i : split) ASSERT_LT(i, total);
